@@ -1,22 +1,27 @@
 //! Coalesced batch scoring for the serving layer.
 //!
-//! `lsi serve` collects concurrent requests into one scoring batch so
-//! the document sweep runs as a single `V Q̂` GEMM (n_docs × n_queries)
-//! instead of one GEMV per query — the same coalescing
-//! [`crate::multiquery`] uses for one query's facets, applied across
-//! independent requests. Each query still gets its own projection,
-//! its own top-`z` selection (the shared branchless
-//! [`crate::query::select_top_by`]), its own query-log record, and its
-//! own error: a batch is a scheduling unit, not a failure domain.
+//! `lsi serve` collects concurrent requests into one [`QueryBatch`] and
+//! scores it in one call. Each query still gets its own projection,
+//! its own query-log record, and its own error; the batch runs the
+//! scoring plan (`crate::plan`) once. Without a probe depth every
+//! query shares one sweep of the documents — the coalesced `V Q̂` GEMM
+//! (n_docs × n_queries) on an exact model, whose per-element operations
+//! the single-query GEMV replays; the paired f32 GEMM on an f32 model,
+//! followed by each query's own over-fetch select, exact re-rank and
+//! margin certificate — so every answer is bit-identical to serving
+//! that query alone. With a probe depth each query sweeps its own
+//! survivors. A
+//! batch is a scheduling unit, not a failure domain: when the shared
+//! sweep fails, each query is re-served alone.
 
 use std::time::Instant;
 
-use lsi_obs::Json;
-
+use crate::index::IndexPolicy;
 use crate::model::LsiModel;
-use crate::query::{desc_key_f64, select_top_by, RankedList};
-use crate::querylog::{self, RequestCtx};
-use crate::{IndexPolicy, Result};
+use crate::plan::Request;
+use crate::query::RankedList;
+use crate::querylog::{self, QueryLog, RequestCtx};
+use crate::{Error, Result};
 
 /// One query in a coalesced scoring batch.
 #[derive(Debug)]
@@ -30,122 +35,86 @@ pub struct BatchQuery {
     pub ctx: Option<RequestCtx>,
 }
 
-impl LsiModel {
-    /// Serve a batch of queries, one `Result` per query in input
-    /// order.
-    ///
-    /// When the model scans exactly (no cluster-index policy, no
-    /// compressed store) and the batch holds more than one query, the
-    /// document sweep coalesces into a single GEMM; otherwise — and
-    /// whenever the coalesced sweep fails — each query is served
-    /// through [`LsiModel::query_top`] independently, so one poisoned
-    /// query (a projection error, an injected fault) fails only
-    /// itself.
-    pub fn query_top_batch(&self, batch: Vec<BatchQuery>) -> Vec<Result<RankedList>> {
-        let coalesce = batch.len() > 1
-            && matches!(self.index_policy(), IndexPolicy::Exact)
-            && self.compressed.is_none();
-        if !coalesce {
-            return batch
-                .into_iter()
-                .map(|q| {
-                    if let Some(ctx) = q.ctx {
-                        querylog::set_request_context(ctx);
-                    }
-                    self.query_top(&q.text, q.z)
-                })
-                .collect();
-        }
-        let _span = lsi_obs::span("query.batch");
-        let m = batch.len();
-        let t0 = Instant::now();
+/// A scoring batch: the queries, plus the index policy to serve them
+/// under when it should differ from the persisted one — the serve
+/// degradation ladder narrows probe depth under pressure this way
+/// without mutating the model. A policy that probes needs a trained
+/// index ([`LsiModel::train_index`]); without one the batch sweeps
+/// every document. A bare `Vec<BatchQuery>` is a batch under the
+/// persisted policy.
+#[derive(Debug)]
+pub struct QueryBatch {
+    /// The queries, answered in this order.
+    pub queries: Vec<BatchQuery>,
+    /// Policy override; `None` follows the model's own.
+    pub policy: Option<IndexPolicy>,
+}
 
-        // Projection is per-query (and can fail per-query).
-        let mut projected: Vec<Option<(Vec<f64>, f64)>> = Vec::with_capacity(m);
-        let mut results: Vec<Option<Result<RankedList>>> = Vec::with_capacity(m);
-        for q in &batch {
-            let tp = Instant::now();
+impl From<Vec<BatchQuery>> for QueryBatch {
+    fn from(queries: Vec<BatchQuery>) -> QueryBatch {
+        QueryBatch {
+            queries,
+            policy: None,
+        }
+    }
+}
+
+impl LsiModel {
+    /// Serve a batch of queries, one `Result` per query in input order
+    /// (see the module docs). Every top-`z` text query goes through
+    /// here; [`LsiModel::query_top`] is a batch of one.
+    pub fn query_top_batch(&self, batch: impl Into<QueryBatch>) -> Vec<Result<RankedList>> {
+        let QueryBatch { queries, policy } = batch.into();
+        let _span = lsi_obs::span("query");
+        let t0 = Instant::now();
+        if queries.len() > 1 {
+            lsi_obs::observe("query.batch.size", queries.len() as f64);
+        }
+        // Projection is per query, and can fail per query.
+        let mut errors: Vec<Option<Error>> = Vec::with_capacity(queries.len());
+        let mut qhats: Vec<Vec<f64>> = Vec::new();
+        let mut logs: Vec<(usize, QueryLog)> = Vec::new();
+        for q in queries {
+            let mut log = QueryLog::begin("top", q.ctx);
+            log.num("n_docs", self.n_docs() as f64);
+            let t = querylog::timer();
             match self.project_text(&q.text) {
                 Ok(qhat) => {
-                    projected.push(Some((qhat, tp.elapsed().as_secs_f64() * 1e6)));
-                    results.push(None);
+                    log.done(t, "project_us");
+                    qhats.push(qhat);
+                    logs.push((q.z, log));
+                    errors.push(None);
                 }
-                Err(e) => {
-                    projected.push(None);
-                    results.push(Some(Err(e)));
-                }
+                Err(e) => errors.push(Some(e)),
             }
         }
-
-        // One GEMM over every successfully projected query. A sweep
-        // error (non-finite guard, armed failpoint) falls back to the
-        // per-query path so only the poisoned query errors.
-        let facets: Vec<&[f64]> = projected
+        let mut reqs: Vec<Request> = qhats
             .iter()
-            .flatten()
-            .map(|(qhat, _)| qhat.as_slice())
+            .zip(logs)
+            .map(|(qhat, (z, log))| Request::top(qhat, z, log))
             .collect();
-        let t_sweep = Instant::now();
-        let scores = match self.facet_cosines(&facets) {
-            Ok(s) => s,
-            Err(_) => {
-                return batch
-                    .into_iter()
-                    .map(|q| {
-                        if let Some(ctx) = q.ctx {
-                            querylog::set_request_context(ctx);
-                        }
-                        self.query_top(&q.text, q.z)
-                    })
-                    .collect();
-            }
-        };
-        let sweep_us = t_sweep.elapsed().as_secs_f64() * 1e6;
-
-        lsi_obs::count("query.count", m as u64);
-        lsi_obs::observe("query.batch.size", m as f64);
-        let n = self.n_docs();
-        let mut col = 0usize;
-        for (i, q) in batch.into_iter().enumerate() {
-            let Some((_, project_us)) = projected[i] else {
-                continue; // projection error already recorded
-            };
-            let s = scores.col(col);
-            col += 1;
-            let order = select_top_by(n, q.z, |j| (desc_key_f64(s[j]), j as u32));
-            let ranked = RankedList {
-                matches: order.into_iter().map(|j| self.make_match(j, s[j])).collect(),
-            };
-            if querylog::enabled() {
-                let fields: Vec<(&'static str, Json)> = vec![
-                    ("kind", Json::Str("top".to_string())),
-                    ("n_docs", Json::Num(n as f64)),
-                    ("precision", Json::Str(self.precision().name().to_string())),
-                    ("z", Json::Num(q.z as f64)),
-                    ("path", Json::Str("batch".to_string())),
-                    ("batch", Json::Num(m as f64)),
-                    ("project_us", Json::Num(project_us)),
-                    ("sweep_us", Json::Num(sweep_us)),
-                ];
-                querylog::emit(
-                    q.ctx,
-                    fields,
-                    &ranked,
-                    t0.elapsed().as_secs_f64() * 1e6,
-                );
-            }
-            lsi_obs::observe("query.time.us", t0.elapsed().as_secs_f64() * 1e6);
-            results[i] = Some(Ok(ranked));
-        }
-        results
+        let ranked = self.rank_top(&mut reqs, policy.unwrap_or(self.index_policy));
+        let mut served = reqs.into_iter().zip(ranked);
+        errors
             .into_iter()
-            .map(|r| r.unwrap_or_else(|| {
-                // Unreachable by construction (every slot is filled
-                // above); a typed error beats a panic if it ever isn't.
-                Err(crate::Error::Inconsistent {
-                    context: "batch slot left unserved".into(),
-                })
-            }))
+            .map(|error| {
+                if let Some(e) = error {
+                    return Err(e);
+                }
+                let Some((req, ranked)) = served.next() else {
+                    // Unreachable by construction (one result per
+                    // projected query); a typed error beats a panic.
+                    return Err(Error::Inconsistent {
+                        context: "batch slot left unserved".into(),
+                    });
+                };
+                if let Ok(r) = &ranked {
+                    req.log.finish(r);
+                    lsi_obs::count("query.count", 1);
+                    lsi_obs::observe("query.time.us", t0.elapsed().as_secs_f64() * 1e6);
+                }
+                ranked
+            })
             .collect()
     }
 }
@@ -250,9 +219,13 @@ mod tests {
         // sweep errors, the fallback re-serves per query, and every
         // query still succeeds (the failpoint is spent).
         let m = model();
-        lsi_fault::arm_from_spec("core.query.score=return-err:1").unwrap();
+        let armed = lsi_fault::arm_scoped(
+            lsi_fault::points::CORE_QUERY_SCORE,
+            lsi_fault::Action::ReturnErr,
+            Some(1),
+        );
         let got = m.query_top_batch(vec![q("car", 2), q("lion", 2), q("zebra", 2)]);
-        lsi_fault::clear();
+        drop(armed);
         assert_eq!(got.iter().filter(|r| r.is_ok()).count(), 3);
     }
 
@@ -265,9 +238,13 @@ mod tests {
         // with a twice-armed failpoint — batch sweep errs, then one
         // per-query retry errs, the other two serve.
         let m = model();
-        lsi_fault::arm_from_spec("core.query.score=return-err:2").unwrap();
+        let armed = lsi_fault::arm_scoped(
+            lsi_fault::points::CORE_QUERY_SCORE,
+            lsi_fault::Action::ReturnErr,
+            Some(2),
+        );
         let got = m.query_top_batch(vec![q("car", 2), q("lion", 2), q("zebra", 2)]);
-        lsi_fault::clear();
+        drop(armed);
         let ok = got.iter().filter(|r| r.is_ok()).count();
         let err = got.iter().filter(|r| r.is_err()).count();
         assert_eq!((ok, err), (2, 1), "exactly the re-poisoned query fails");

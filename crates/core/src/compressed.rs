@@ -31,6 +31,8 @@ use serde::{Deserialize, Serialize};
 
 use lsi_linalg::{lowp, DenseMatrix};
 
+use crate::plan::{over_spans, Candidates};
+
 /// Scoring precision of the candidate-generation sweep.
 ///
 /// `Exact` scores every document in f64 (the classic path). `F32` and
@@ -192,125 +194,92 @@ impl CompressedStore {
         }
     }
 
-    /// Margin the exact re-rank must clear for the top-`z` to be
-    /// certified identical to the exact scan: the f32 cosine error
-    /// bound, or `None` for the explicitly-approximate i8 ladder.
-    pub(crate) fn rerank_margin(&self, k: usize) -> Option<f64> {
-        match self {
-            CompressedStore::F32 { .. } => Some(f32_cosine_error_bound(k)),
-            CompressedStore::I8 { .. } => None,
-        }
-    }
-
-    /// Approximate cosine scores of every document against one
-    /// projected query (`qnorm` is the query's f64 norm). Deterministic
-    /// and bit-identical across thread counts, like the f64 sweep.
-    pub(crate) fn approx_scores(
-        &self,
-        qhat: &[f64],
-        qnorm: f64,
-    ) -> lsi_linalg::Result<Vec<f32>> {
-        let q32: Vec<f32> = qhat.iter().map(|&x| x as f32).collect();
-        let rq = if qnorm > 0.0 { (1.0 / qnorm) as f32 } else { 0.0 };
-        let k = qhat.len();
-        match self {
-            CompressedStore::F32 { data, recip_norms } => {
-                let n = recip_norms.len();
-                let mut y = lowp::matvec_f32(data, n, k, &q32)?;
-                for (s, &rn) in y.iter_mut().zip(recip_norms.iter()) {
-                    *s *= rn * rq;
-                }
-                Ok(y)
-            }
-            CompressedStore::I8 { data, factors } => {
-                let n = factors.len();
-                let mut y = lowp::matvec_i8(data, n, k, &q32)?;
-                for (s, &f) in y.iter_mut().zip(factors.iter()) {
-                    *s *= f * rq;
-                }
-                Ok(y)
-            }
-        }
-    }
-
-    /// Approximate cosine scores for a *subset* of documents — the
-    /// pruned-index variant of [`CompressedStore::approx_scores`].
-    /// `rows[i]` is the document id scored into slot `i` of the result,
-    /// so the output aligns with the caller's survivor list. Each score
-    /// is bit-identical to the corresponding entry of the full sweep:
-    /// the row-subset kernels accumulate per row in the same column
+    /// Approximate cosines of the candidates against every facet,
+    /// column-major (`len × facets.len()`, `qnorms` the facets' f64
+    /// norms). `All` streams the whole replica — the f32 ladder
+    /// coalesces several facets into one paired-rhs GEMM — and `Rows`
+    /// runs the row-subset kernels over the survivor shards. A `Rows`
+    /// score is bit-identical to the single-facet `All` score for that
+    /// row: the subset kernels accumulate per row in the same column
     /// order as the full GEMV.
-    pub(crate) fn approx_scores_rows(
-        &self,
-        qhat: &[f64],
-        qnorm: f64,
-        rows: &[u32],
-    ) -> lsi_linalg::Result<Vec<f32>> {
-        let q32: Vec<f32> = qhat.iter().map(|&x| x as f32).collect();
-        let rq = if qnorm > 0.0 { (1.0 / qnorm) as f32 } else { 0.0 };
-        let k = qhat.len();
-        match self {
-            CompressedStore::F32 { data, recip_norms } => {
-                let n = recip_norms.len();
-                let mut y = lowp::matvec_f32_rows(data, n, k, &q32, rows)?;
-                for (s, &r) in y.iter_mut().zip(rows.iter()) {
-                    *s *= recip_norms[r as usize] * rq;
-                }
-                Ok(y)
-            }
-            CompressedStore::I8 { data, factors } => {
-                let n = factors.len();
-                let mut y = lowp::matvec_i8_rows(data, n, k, &q32, rows)?;
-                for (s, &r) in y.iter_mut().zip(rows.iter()) {
-                    *s *= factors[r as usize] * rq;
-                }
-                Ok(y)
-            }
-        }
-    }
-
-    /// Approximate per-facet cosine scores, column-major `n x nf` —
-    /// the multi-facet variant of [`CompressedStore::approx_scores`].
-    /// The f32 ladder routes through the paired-rhs GEMM so `V` is
-    /// streamed once per facet pair.
-    pub(crate) fn approx_scores_multi(
+    pub(crate) fn approx_scores(
         &self,
         facets: &[&[f64]],
         qnorms: &[f64],
-    ) -> lsi_linalg::Result<Vec<f32>> {
-        let nf = facets.len();
+        cands: &Candidates,
+    ) -> crate::Result<Vec<f32>> {
+        let scale = match self {
+            CompressedStore::F32 { recip_norms, .. } => recip_norms,
+            CompressedStore::I8 { factors, .. } => factors,
+        };
+        let n = scale.len();
         let k = facets.first().map_or(0, |f| f.len());
-        match self {
-            CompressedStore::F32 { data, recip_norms } => {
-                let n = recip_norms.len();
-                let mut b = Vec::with_capacity(k * nf);
-                for f in facets {
-                    b.extend(f.iter().map(|&x| x as f32));
-                }
-                let mut c = lowp::gemm_f32(data, n, k, &b, nf)?;
-                for (f, col) in c.chunks_mut(n.max(1)).take(nf).enumerate() {
-                    let rq = if qnorms[f] > 0.0 { (1.0 / qnorms[f]) as f32 } else { 0.0 };
-                    for (s, &rn) in col.iter_mut().zip(recip_norms.iter()) {
-                        *s *= rn * rq;
+        let q32 = |f: &[f64]| -> Vec<f32> { f.iter().map(|&x| x as f32).collect() };
+        let rq = |qn: f64| if qn > 0.0 { (1.0 / qn) as f32 } else { 0.0 };
+        if let (Candidates::All, CompressedStore::F32 { data, .. }) = (cands, self) {
+            if facets.len() > 1 {
+                let b: Vec<f32> = facets.iter().flat_map(|f| q32(f)).collect();
+                let mut out = lowp::gemm_f32(data, n, k, &b, facets.len())?;
+                for (col, &qn) in out.chunks_mut(n.max(1)).zip(qnorms) {
+                    for (s, &f) in col.iter_mut().zip(scale) {
+                        *s *= f * rq(qn);
                     }
                 }
-                Ok(c)
-            }
-            CompressedStore::I8 { factors, .. } => {
-                let n = factors.len();
-                let mut c = Vec::with_capacity(n * nf);
-                for (f, facet) in facets.iter().enumerate() {
-                    c.extend(self.approx_scores(facet, qnorms[f])?);
-                }
-                Ok(c)
+                return Ok(out);
             }
         }
+        let kernel = |q: &[f32], rows: Option<&[u32]>| match (self, rows) {
+            (CompressedStore::F32 { data, .. }, None) => lowp::matvec_f32(data, n, k, q),
+            (CompressedStore::F32 { data, .. }, Some(r)) => lowp::matvec_f32_rows(data, n, k, q, r),
+            (CompressedStore::I8 { data, .. }, None) => lowp::matvec_i8(data, n, k, q),
+            (CompressedStore::I8 { data, .. }, Some(r)) => lowp::matvec_i8_rows(data, n, k, q, r),
+        };
+        let mut out = Vec::with_capacity(cands.len(n) * facets.len());
+        for (facet, &qn) in facets.iter().zip(qnorms) {
+            let q = q32(facet);
+            match cands {
+                Candidates::All => {
+                    let mut y = kernel(&q, None)?;
+                    for (s, &f) in y.iter_mut().zip(scale) {
+                        *s *= f * rq(qn);
+                    }
+                    out.extend(y);
+                }
+                Candidates::Rows { ids, spans } => out.extend(over_spans(ids, spans, |rows| {
+                    let mut y = kernel(&q, Some(rows))?;
+                    for (s, &r) in y.iter_mut().zip(rows) {
+                        *s *= scale[r as usize] * rq(qn);
+                    }
+                    Ok(y)
+                })?),
+            }
+        }
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One facet over every document.
+    fn sweep(s: &CompressedStore, qhat: &[f64], qnorm: f64) -> crate::Result<Vec<f32>> {
+        s.approx_scores(&[qhat], &[qnorm], &Candidates::All)
+    }
+
+    /// One facet over a survivor list (one shard).
+    fn sweep_rows(
+        s: &CompressedStore,
+        qhat: &[f64],
+        qnorm: f64,
+        rows: &[u32],
+    ) -> crate::Result<Vec<f32>> {
+        let cands = Candidates::Rows {
+            ids: rows.to_vec(),
+            spans: vec![(0, rows.len())],
+        };
+        s.approx_scores(&[qhat], &[qnorm], &cands)
+    }
 
     fn sample_v(n: usize, k: usize) -> (DenseMatrix, Vec<f64>) {
         let mut v = DenseMatrix::zeros(n, k);
@@ -356,7 +325,6 @@ mod tests {
         let s = CompressedStore::build(Precision::I8, &v, &norms).unwrap();
         assert_eq!(s.precision(), Precision::I8);
         assert_eq!(s.resident_bytes(), 64 * 16 + 64 * 4);
-        assert!(s.rerank_margin(16).is_none());
     }
 
     #[test]
@@ -365,7 +333,7 @@ mod tests {
         let s = CompressedStore::build(Precision::F32, &v, &norms).unwrap();
         let qhat: Vec<f64> = (0..24).map(|j| ((j * 7 % 11) as f64 - 5.0) / 7.0).collect();
         let qnorm = lsi_linalg::vecops::nrm2(&qhat);
-        let approx = s.approx_scores(&qhat, qnorm).unwrap();
+        let approx = sweep(&s, &qhat, qnorm).unwrap();
         let bound = f32_cosine_error_bound(24);
         for i in 0..300 {
             let exact = v.row_view(i).cosine_slice(&qhat);
@@ -385,10 +353,10 @@ mod tests {
         for p in [Precision::F32, Precision::I8] {
             let s = CompressedStore::build(p, &v, &norms).unwrap();
             // Zero query: everything scores 0 (qnorm guard).
-            let z = s.approx_scores(&[0.0; 4], 0.0).unwrap();
+            let z = sweep(&s, &[0.0; 4], 0.0).unwrap();
             assert!(z.iter().all(|&x| x == 0.0));
             // Nonzero query: zero rows score 0 (dnorm guard).
-            let y = s.approx_scores(&[1.0, 0.0, 0.0, 0.0], 1.0).unwrap();
+            let y = sweep(&s, &[1.0, 0.0, 0.0, 0.0], 1.0).unwrap();
             assert_eq!(y[0], 0.0);
             assert_eq!(y[2], 0.0);
             assert!((y[1] - 1.0).abs() < 1e-3);
@@ -403,8 +371,8 @@ mod tests {
         let rows: Vec<u32> = vec![190, 3, 3, 57, 0, 121];
         for p in [Precision::F32, Precision::I8] {
             let s = CompressedStore::build(p, &v, &norms).unwrap();
-            let full = s.approx_scores(&qhat, qnorm).unwrap();
-            let subset = s.approx_scores_rows(&qhat, qnorm, &rows).unwrap();
+            let full = sweep(&s, &qhat, qnorm).unwrap();
+            let subset = sweep_rows(&s, &qhat, qnorm, &rows).unwrap();
             assert_eq!(subset.len(), rows.len());
             for (slot, &r) in rows.iter().enumerate() {
                 assert_eq!(
@@ -413,7 +381,7 @@ mod tests {
                     "precision {p:?} row {r}"
                 );
             }
-            assert!(s.approx_scores_rows(&qhat, qnorm, &[]).unwrap().is_empty());
+            assert!(sweep_rows(&s, &qhat, qnorm, &[]).unwrap().is_empty());
         }
     }
 
@@ -427,10 +395,10 @@ mod tests {
         for p in [Precision::F32, Precision::I8] {
             let s = CompressedStore::build(p, &v, &norms).unwrap();
             let multi = s
-                .approx_scores_multi(&[&q1, &q2], &[n1, n2])
+                .approx_scores(&[&q1, &q2], &[n1, n2], &Candidates::All)
                 .unwrap();
-            let s1 = s.approx_scores(&q1, n1).unwrap();
-            let s2 = s.approx_scores(&q2, n2).unwrap();
+            let s1 = sweep(&s, &q1, n1).unwrap();
+            let s2 = sweep(&s, &q2, n2).unwrap();
             for i in 0..120 {
                 assert!((multi[i] - s1[i]).abs() < 1e-5);
                 assert!((multi[120 + i] - s2[i]).abs() < 1e-5);

@@ -8,7 +8,10 @@
 //! * [`model::LsiModel`] — construction (parse → weight → truncated
 //!   SVD), persistence, and accessors for term/document coordinates.
 //! * [`query`] — query projection `q̂ = qᵀ U_k Σ_k⁻¹` (Eq. 6) and
-//!   cosine ranking, serial and rayon-parallel.
+//!   cosine ranking; every top-`z` entry point (single, [`batch`],
+//!   multi-facet) runs one staged scoring plan (`plan`: candidates →
+//!   sweep → over-fetch select → exact re-rank → margin certificate →
+//!   fallback).
 //! * [`update`] — the three ways to add information (§2.3/§4):
 //!   folding-in (Eqs. 7–8), SVD-updating (Eqs. 10–13), recomputing.
 //! * [`multiquery`] — §5.4's multiple-points-of-interest queries
@@ -58,12 +61,13 @@ pub mod expansion;
 pub mod index;
 pub mod model;
 pub mod multiquery;
+mod plan;
 pub mod ortho;
 pub mod query;
 pub mod querylog;
 pub mod update;
 
-pub use batch::BatchQuery;
+pub use batch::{BatchQuery, QueryBatch};
 pub use compressed::Precision;
 pub use index::{IndexPolicy, DEFAULT_NPROBE, INDEX_RECLUSTER_THRESHOLD};
 pub use model::{LsiModel, LsiOptions};

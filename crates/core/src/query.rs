@@ -10,14 +10,14 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use lsi_linalg::{ops, vecops, DenseMatrix};
-use lsi_sparse::nnz_balanced_spans;
+use lsi_linalg::ops;
 use rayon::prelude::*;
 
-use crate::compressed::CompressedStore;
-use crate::index::{ClusterIndex, IndexPolicy};
+use crate::batch::{BatchQuery, QueryBatch};
+use crate::index::IndexPolicy;
 use crate::model::LsiModel;
-use crate::querylog;
+use crate::plan::{single, Request};
+use crate::querylog::{self, QueryLog};
 use crate::{Error, Result};
 
 /// One retrieved document.
@@ -71,10 +71,10 @@ impl RankedList {
 }
 
 /// Descending by score, ties broken by ascending document index — the
-/// ordering every ranking entry point shares.
+/// full-ranking order, the same one every top-`z` selection keys on.
 pub(crate) fn by_score_desc(scores: &[f64]) -> impl Fn(&usize, &usize) -> Ordering + '_ {
     // `unwrap_or(Equal)` instead of `expect`: scores are guarded at the
-    // facet_cosines boundary, but a comparator must never panic — a NaN
+    // sweep boundary, but a comparator must never panic — a NaN
     // that slips through degrades the ordering, not the process.
     move |&a: &usize, &b: &usize| {
         scores[b]
@@ -82,90 +82,6 @@ pub(crate) fn by_score_desc(scores: &[f64]) -> impl Fn(&usize, &usize) -> Orderi
             .unwrap_or(Ordering::Equal)
             .then_with(|| a.cmp(&b))
     }
-}
-
-/// Order-reversing monotone map from an f64 score to a u64 sort key:
-/// ascending key order is descending score order, with every distinct
-/// bit pattern (including -0.0 vs +0.0) kept distinct. Branchless —
-/// the key build runs once per document per query, and data-dependent
-/// branches on scores are unpredictable there (every query is a fresh
-/// pattern). Finiteness is guarded before every selection; a NaN that
-/// slipped through would rank first, not panic.
-#[inline]
-pub(crate) fn desc_key_f64(s: f64) -> u64 {
-    let b = s.to_bits();
-    let mask = ((b as i64) >> 63) as u64;
-    !(b ^ (mask | 0x8000_0000_0000_0000))
-}
-
-/// The f32 variant of [`desc_key_f64`] — the candidate sweep's key.
-#[inline]
-pub(crate) fn desc_key_f32(s: f32) -> u32 {
-    let b = s.to_bits();
-    let mask = ((b as i32) >> 31) as u32;
-    !(b ^ (mask | 0x8000_0000))
-}
-
-/// Indices of the best `z` of `0..n` under `key_of` (ascending key =
-/// better; ties broken by ascending index), sorted best-first. This is
-/// the one selection implementation shared by the exact top-`z` path,
-/// the compressed path's candidate pick, and the multi-facet top-`z` —
-/// every ranking entry point sees identical tie handling.
-///
-/// The selection runs on plain integer (key, index) pairs via
-/// `select_nth_unstable` rather than on an indirect score comparator:
-/// branchless partitioning is immune to the branch-predictor misses
-/// that dominate comparator-based selection here, where every query
-/// presents a fresh, unlearnable comparison pattern (measured ~4x on
-/// topic-clustered scores).
-///
-/// When `z` is much smaller than `n` (the serving case: top-10 of tens
-/// of thousands), even one materialized `(key, index)` pair per
-/// document costs more than the selection itself, so a bounded-scan
-/// path keeps only the best `z` pairs seen so far and compares each new
-/// key against the current worst. The replace branch is taken
-/// ~`z·ln(n/z)` times in expectation (dozens, not thousands), so it
-/// stays predictor-friendly despite being data-dependent. Both paths
-/// order by the same `(key, index)` pairs, so results — including tie
-/// handling — are identical.
-pub(crate) fn select_top_by<K: Ord + Copy>(
-    n: usize,
-    z: usize,
-    key_of: impl Fn(usize) -> K,
-) -> Vec<usize> {
-    let z = z.min(n);
-    if z == 0 {
-        return Vec::new();
-    }
-    // Threshold: the bounded scan's replace step is O(z), so it wins
-    // while z stays a sliver of n; past that the partition amortizes
-    // better. 1/32 keeps the worst-case replace traffic (n/32 · z)
-    // at or under one full keyed materialization.
-    if z <= 64 && n >= 32 * z {
-        let mut kept: Vec<(K, u32)> = (0..z).map(|i| (key_of(i), i as u32)).collect();
-        kept.sort_unstable();
-        // `kept` stays sorted ascending; worst kept pair is last.
-        for i in z..n {
-            let key = key_of(i);
-            // Scanning in ascending index order means a tie on key can
-            // never displace an earlier index, so strict key comparison
-            // against the worst kept pair is exactly pair comparison.
-            if key < kept[z - 1].0 {
-                let pair = (key, i as u32);
-                let pos = kept.partition_point(|&p| p < pair);
-                kept.pop();
-                kept.insert(pos, pair);
-            }
-        }
-        return kept.into_iter().map(|(_, i)| i as usize).collect();
-    }
-    let mut keyed: Vec<(K, u32)> = (0..n).map(|i| (key_of(i), i as u32)).collect();
-    if z < n {
-        keyed.select_nth_unstable(z - 1);
-        keyed.truncate(z);
-    }
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, i)| i as usize).collect()
 }
 
 impl LsiModel {
@@ -221,80 +137,6 @@ impl LsiModel {
         self.project_counts(&counts)
     }
 
-    /// Cosine of every document against every facet, computed as one
-    /// `V Q̂` matrix product (n_docs × n_facets) scaled by the
-    /// precomputed document norms. Facets with no mass (or documents
-    /// with a zero vector) score 0, matching [`vecops::cosine`].
-    pub(crate) fn facet_cosines(&self, facets: &[&[f64]]) -> Result<DenseMatrix> {
-        let k = self.k();
-        let n = self.n_docs();
-        for f in facets {
-            if f.len() != k {
-                return Err(Error::Inconsistent {
-                    context: format!(
-                        "projected query has {} dimensions but the model has {k} factors",
-                        f.len()
-                    ),
-                });
-            }
-        }
-        let nf = facets.len();
-        if k == 0 || n == 0 {
-            return Ok(DenseMatrix::zeros(n, nf));
-        }
-        // The V·Q̂ product plus the per-cell norm scaling.
-        lsi_obs::add_flops(((2 * k + 3) * n * nf) as f64);
-        lsi_obs::count("query.facets.count", nf as u64);
-        let mut scores = if nf == 1 {
-            // One facet is a GEMV: skip the GEMM's operand packing,
-            // which would copy all of V for a single right-hand side.
-            // The GEMV itself splits document rows across the pool for
-            // large collections (single-query scoring hot path).
-            DenseMatrix::from_col_major(n, 1, ops::matvec(&self.v, facets[0])?)?
-        } else {
-            let qdata: Vec<f64> = facets.iter().flat_map(|f| f.iter().copied()).collect();
-            let qmat = DenseMatrix::from_col_major(k, nf, qdata)?;
-            ops::matmul(&self.v, &qmat)?
-        };
-        for (f, facet) in facets.iter().enumerate() {
-            let qnorm = vecops::nrm2(facet);
-            let col = scores.col_mut(f);
-            for (s, &dnorm) in col.iter_mut().zip(self.doc_norms.iter()) {
-                *s = if qnorm > 0.0 && dnorm > 0.0 {
-                    *s / (dnorm * qnorm)
-                } else {
-                    0.0
-                };
-            }
-        }
-        // Scoring boundary guard: everything downstream (sorting,
-        // thresholding, CLI output) assumes finite cosines, so a NaN or
-        // Inf produced here — by a corrupted model or an armed failpoint
-        // — becomes a typed error instead of silently scrambled ranks.
-        match lsi_fault::eval(lsi_fault::points::CORE_QUERY_SCORE) {
-            Some(lsi_fault::Fired::ReturnErr) => {
-                return Err(Error::Inconsistent {
-                    context: format!(
-                        "fault injected at failpoint `{}`",
-                        lsi_fault::points::CORE_QUERY_SCORE
-                    ),
-                });
-            }
-            Some(lsi_fault::Fired::InjectNan) => {
-                if let Some(first) = scores.data_mut().first_mut() {
-                    *first = f64::NAN;
-                }
-            }
-            None => {}
-        }
-        if !scores.data().iter().all(|s| s.is_finite()) {
-            return Err(Error::NonFinite {
-                context: "cosine scores (query scoring boundary)".into(),
-            });
-        }
-        Ok(scores)
-    }
-
     pub(crate) fn make_match(&self, j: usize, cosine: f64) -> Match {
         Match {
             doc: j,
@@ -305,558 +147,42 @@ impl LsiModel {
 
     /// Rank all documents by cosine to the projected query vector.
     pub fn rank_projected(&self, qhat: &[f64]) -> Result<RankedList> {
-        let scores = self.facet_cosines(&[qhat])?;
-        let scores = scores.col(0);
-        let mut order: Vec<usize> = (0..self.n_docs()).collect();
+        let scores = self.cosines_all(&[qhat])?;
+        Ok(self.rank_all(&scores))
+    }
+
+    /// Every document, ranked by `scores` (one per document).
+    pub(crate) fn rank_all(&self, scores: &[f64]) -> RankedList {
+        let mut order: Vec<usize> = (0..scores.len()).collect();
         order.sort_by(by_score_desc(scores));
-        Ok(RankedList {
-            matches: order
-                .into_iter()
-                .map(|j| self.make_match(j, scores[j]))
-                .collect(),
-        })
+        self.ranked(order.into_iter().map(|j| (j, scores[j])))
     }
 
     /// The `z` best documents for a projected query, without sorting
     /// the full collection. "Typically the z closest documents ... are
-    /// returned" — this is the entry point for that typical case.
-    ///
-    /// With a reduced [`crate::compressed::Precision`] active, the
-    /// scan runs two-phase: a compressed candidate sweep over all
-    /// documents, then an exact f64 re-rank of the `max(4z, 64)`
-    /// over-fetched candidates. For the f32 ladder a margin check
-    /// certifies the result bit-identical to the exact scan, falling
-    /// back to it whenever certification fails; the i8 ladder trades
-    /// that certificate for an eighth of the bandwidth (the returned
-    /// scores are still exact f64 cosines). [`Precision::Exact`]
-    /// scores everything in f64 through the same shared selection.
+    /// returned" — this is the entry point for that typical case. It
+    /// runs the scoring plan (`crate::plan`): under a reduced
+    /// [`crate::Precision`] a compressed sweep, an exact f64 re-rank of
+    /// the `max(4z, 64)` over-fetched candidates and, for f32, a margin
+    /// certificate that keeps the answer bit-identical to the exact
+    /// scan (falling back to it when certification fails); under a
+    /// pruned [`IndexPolicy`] the same stages over the probed
+    /// lists' survivors.
     pub fn rank_projected_top(&self, qhat: &[f64], z: usize) -> Result<RankedList> {
-        self.rank_projected_top_at(qhat, z, None)
-    }
-
-    /// [`LsiModel::rank_projected_top`] with a per-call probe-depth
-    /// override: `Some(n)` routes through the trained cluster index at
-    /// depth `n` regardless of the persisted [`IndexPolicy`] (the
-    /// serve degradation ladder narrows probe depth under pressure
-    /// without mutating the model), `None` follows the policy. An
-    /// override with no trained index falls through to the policy
-    /// path — [`LsiModel::train_index`] prepares the index up front.
-    pub(crate) fn rank_projected_top_at(
-        &self,
-        qhat: &[f64],
-        z: usize,
-        nprobe_override: Option<usize>,
-    ) -> Result<RankedList> {
-        querylog::put_str("precision", self.precision().name());
-        querylog::put_num("z", z as f64);
-        let probe = match nprobe_override {
-            Some(n) => self.index.as_ref().map(|ix| (ix, n)),
-            None => match self.index_policy {
-                IndexPolicy::Pruned { nprobe } => {
-                    self.index.as_ref().map(|ix| (ix, nprobe))
-                }
-                IndexPolicy::Exact => None,
-            },
-        };
-        if let Some((index, nprobe)) = probe {
-            if let Some(ranked) = self.rank_top_pruned(index, nprobe, qhat, z)? {
-                querylog::put_str("path", "pruned");
-                return Ok(ranked);
-            }
-        }
-        if let Some(store) = self.compressed.as_ref() {
-            if let Some(ranked) = self.rank_top_compressed(store, qhat, z)? {
-                querylog::put_str("path", "compressed");
-                return Ok(ranked);
-            }
-            lsi_obs::count("score.rerank.fallback.count", 1);
-            querylog::put_str("path", "fallback");
-            let t = querylog::phase_timer();
-            let ranked = self.rank_top_exact(qhat, z);
-            querylog::phase_done(t, "fallback_us");
-            return ranked;
-        }
-        querylog::put_str("path", "exact");
-        self.rank_top_exact(qhat, z)
-    }
-
-    /// The classic exact top-`z`: one f64 GEMV over all documents plus
-    /// the shared partition-and-sort selection.
-    fn rank_top_exact(&self, qhat: &[f64], z: usize) -> Result<RankedList> {
-        let scores = self.facet_cosines(&[qhat])?;
-        let scores = scores.col(0);
-        let order = select_top_by(self.n_docs(), z, |i| (desc_key_f64(scores[i]), i as u32));
-        Ok(RankedList {
-            matches: order
-                .into_iter()
-                .map(|j| self.make_match(j, scores[j]))
-                .collect(),
-        })
-    }
-
-    /// Exact f64 cosines for a batch of document rows against `qhat`,
-    /// each bit-identical to the full sweep's score for that row: the
-    /// column-outer subset GEMV ([`ops::matvec_rows`]) replays the
-    /// span kernel's arithmetic per row, and the zero-norm guard
-    /// matches `facet_cosines`. Sort `rows` ascending — the batched
-    /// walk is prefetch-friendly in that order, where scattered
-    /// single-row walks over a matrix the candidate sweep just
-    /// evicted cost more than the sweep itself.
-    pub(crate) fn exact_cosines_rows(
-        &self,
-        rows: &[usize],
-        qhat: &[f64],
-        qnorm: f64,
-    ) -> Result<Vec<f64>> {
-        let mut raws = ops::matvec_rows(&self.v, qhat, rows)?;
-        for (raw, &j) in raws.iter_mut().zip(rows.iter()) {
-            let dnorm = self.doc_norms[j];
-            *raw = if qnorm > 0.0 && dnorm > 0.0 {
-                *raw / (dnorm * qnorm)
-            } else {
-                0.0
-            };
-        }
-        Ok(raws)
-    }
-
-    /// Two-phase compressed scan. Returns `Ok(None)` when the exact
-    /// path should serve instead: trivial shapes, a non-finite
-    /// compressed sweep (the failpoint's inject-nan lands here), or an
-    /// uncertified f32 margin.
-    fn rank_top_compressed(
-        &self,
-        store: &CompressedStore,
-        qhat: &[f64],
-        z: usize,
-    ) -> Result<Option<RankedList>> {
-        let k = self.k();
-        let n = self.n_docs();
-        if qhat.len() != k {
-            return Err(Error::Inconsistent {
-                context: format!(
-                    "projected query has {} dimensions but the model has {k} factors",
-                    qhat.len()
-                ),
-            });
-        }
-        if n == 0 || k == 0 || z == 0 {
-            return Ok(None);
-        }
-        let qnorm = vecops::nrm2(qhat);
-        let t_sweep = querylog::phase_timer();
-        let approx = {
-            let _span = lsi_obs::span("score.candidates");
-            // The sweep streams the compressed replica once, plus the
-            // projected query.
-            lsi_obs::add_bytes((store.resident_bytes() + 8 * k) as f64);
-            lsi_obs::add_flops((2 * k + 2) as f64 * n as f64);
-            let mut approx = store.approx_scores(qhat, qnorm)?;
-            // Same scoring-boundary failpoint as the exact path; the
-            // compressed sweep differs in that inject-nan degrades
-            // gracefully (non-finite guard → exact-scan fallback)
-            // instead of erroring, because the exact path is still
-            // available to serve the query.
-            match lsi_fault::eval(lsi_fault::points::CORE_QUERY_SCORE) {
-                Some(lsi_fault::Fired::ReturnErr) => {
-                    return Err(Error::Inconsistent {
-                        context: format!(
-                            "fault injected at failpoint `{}`",
-                            lsi_fault::points::CORE_QUERY_SCORE
-                        ),
-                    });
-                }
-                Some(lsi_fault::Fired::InjectNan) => {
-                    if let Some(first) = approx.first_mut() {
-                        *first = f32::NAN;
-                    }
-                }
-                None => {}
-            }
-            approx
-        };
-        querylog::phase_done(t_sweep, "sweep_us");
-        if !approx.iter().all(|s| s.is_finite()) {
-            lsi_obs::warn!(
-                "compressed candidate sweep produced non-finite scores; \
-                 falling back to the exact f64 scan"
-            );
-            return Ok(None);
-        }
-        let z = z.min(n);
-        let c = z
-            .saturating_mul(crate::compressed::OVER_FETCH_FACTOR)
-            .max(crate::compressed::OVER_FETCH_FLOOR)
-            .min(n);
-        let candidates =
-            select_top_by(n, c, |i| ((desc_key_f32(approx[i]) as u64) << 32) | i as u64);
-        lsi_obs::count("score.candidates.count", c as u64);
-        querylog::put_num("candidates", c as f64);
-        let t_rerank = querylog::phase_timer();
-        let reranked = {
-            let _span = lsi_obs::span("score.rerank");
-            lsi_obs::add_bytes((c * k * 8) as f64);
-            lsi_obs::add_flops(((2 * k + 3) * c) as f64);
-            // Ascending row order keeps the batched kernel's column
-            // walks prefetch-friendly; result order is irrelevant —
-            // the exact selection below re-sorts by f64 score.
-            let mut by_row = candidates.clone();
-            by_row.sort_unstable();
-            let cosines = self.exact_cosines_rows(&by_row, qhat, qnorm)?;
-            by_row.into_iter().zip(cosines).collect::<Vec<(usize, f64)>>()
-        };
-        querylog::phase_done(t_rerank, "rerank_us");
-        // The exact path's scoring-boundary guard, applied to the
-        // re-ranked scores (the only f64 cosines this path computes).
-        if !reranked.iter().all(|(_, s)| s.is_finite()) {
-            return Err(Error::NonFinite {
-                context: "cosine scores (query scoring boundary)".into(),
-            });
-        }
-        lsi_obs::count("score.rerank.count", candidates.len() as u64);
-        let exact_scores: Vec<f64> = reranked.iter().map(|&(_, s)| s).collect();
-        let doc_of: Vec<usize> = reranked.iter().map(|&(j, _)| j).collect();
-        // Tie-break by position == tie-break by document id: `reranked`
-        // is built in ascending-row order, so `doc_of` is strictly
-        // increasing in position.
-        let order = select_top_by(reranked.len(), z, |i| {
-            (desc_key_f64(exact_scores[i]), i as u32)
-        });
-        // Margin certificate (f32 only): every non-candidate document's
-        // exact cosine is ≤ its approx score + bound ≤ cutoff + bound,
-        // where the cutoff is the worst *selected* approx score (an
-        // upper bound on every excluded one). If the z-th exact score
-        // strictly clears that, no excluded document can belong in the
-        // top-z, and within the candidates the re-rank is exact — the
-        // result is bit-identical to the full f64 scan. Ties at the
-        // boundary fail the strict test and fall back.
-        if c < n {
-            if let Some(bound) = store.rerank_margin(k) {
-                let cutoff = candidates
-                    .last()
-                    .map(|&j| approx[j] as f64)
-                    .unwrap_or(f64::NEG_INFINITY);
-                let s_z = order
-                    .last()
-                    .map(|&i| exact_scores[i])
-                    .unwrap_or(f64::NEG_INFINITY);
-                if !(s_z > cutoff + bound) {
-                    return Ok(None);
-                }
-            }
-        }
-        let out = Ok(Some(RankedList {
-            matches: order
-                .into_iter()
-                .map(|i| self.make_match(doc_of[i], exact_scores[i]))
-                .collect(),
-        }));
-        out
-    }
-
-    /// Cluster-pruned top-`z`: score the ~√n centroids instead of the
-    /// `n` docs, probe the `nprobe` best lists, and sweep only the
-    /// survivors. Returns `Ok(None)` when the exact machinery should
-    /// serve instead (trivial shapes, a stale index, non-finite
-    /// centroid scores, or empty probed lists).
-    ///
-    /// At `nprobe = n_lists` every doc survives, survivor scores are
-    /// bit-identical per row to the full sweep, and ties break by doc
-    /// id exactly as in [`LsiModel::rank_top_exact`] /
-    /// [`LsiModel::rank_top_compressed`] — so the pruned result is
-    /// bit-identical to the unpruned one, in every precision mode.
-    fn rank_top_pruned(
-        &self,
-        index: &ClusterIndex,
-        nprobe: usize,
-        qhat: &[f64],
-        z: usize,
-    ) -> Result<Option<RankedList>> {
-        let k = self.k();
-        let n = self.n_docs();
-        if qhat.len() != k {
-            return Err(Error::Inconsistent {
-                context: format!(
-                    "projected query has {} dimensions but the model has {k} factors",
-                    qhat.len()
-                ),
-            });
-        }
-        if n == 0 || k == 0 || z == 0 || index.k() != k {
-            return Ok(None);
-        }
-        let n_lists = index.n_lists();
-        querylog::put_num("nprobe", nprobe as f64);
-        let nprobe = nprobe.clamp(1, n_lists);
-        let t_probe = querylog::phase_timer();
-        let (probed, survivors, indptr) = {
-            let _span = lsi_obs::span("index.probe");
-            // One dot per centroid list, plus the top-`nprobe` pick.
-            lsi_obs::add_flops((2 * k + 1) as f64 * n_lists as f64);
-            let cscores = index.centroid_scores(qhat)?;
-            if !cscores.iter().all(|s| s.is_finite()) {
-                // Degraded centroid math must not scramble ranks; the
-                // exact scan (whose own boundary guard will fire if the
-                // model itself is corrupt) serves instead.
-                return Ok(None);
-            }
-            let mut probed =
-                select_top_by(n_lists, nprobe, |l| (desc_key_f64(cscores[l]), l as u32));
-            // Ascending list order keeps the concatenated survivor walk
-            // as monotone as the partition allows; ranking is order-free
-            // because every selection below ties-breaks on doc id.
-            probed.sort_unstable();
-            let mut survivors: Vec<u32> = Vec::new();
-            let mut indptr = Vec::with_capacity(probed.len() + 1);
-            indptr.push(0usize);
-            for &l in &probed {
-                survivors.extend_from_slice(index.list(l));
-                indptr.push(survivors.len());
-            }
-            (probed, survivors, indptr)
-        };
-        querylog::phase_done(t_probe, "probe_us");
-        lsi_obs::count("index.lists.count", probed.len() as u64);
-        lsi_obs::count("index.survivors.count", survivors.len() as u64);
-        querylog::put_num("lists_probed", probed.len() as f64);
-        querylog::put_num("survivors", survivors.len() as f64);
-        if survivors.is_empty() {
-            return Ok(None);
-        }
-        let qnorm = vecops::nrm2(qhat);
-        if let Some(store) = self.compressed.as_ref() {
-            if let Some(ranked) =
-                self.rank_pruned_compressed(store, qhat, qnorm, z, &survivors, &indptr)?
-            {
-                return Ok(Some(ranked));
-            }
-            // Degrade to the f64 survivor sweep, not the full scan: the
-            // pruning decision stands, only the precision ladder failed.
-            lsi_obs::count("score.rerank.fallback.count", 1);
-        }
-        let ranked = self.rank_pruned_exact(qhat, qnorm, z, &survivors, &indptr)?;
-        Ok(Some(ranked))
-    }
-
-    /// Exact f64 cosines for every survivor, sharded across the pool in
-    /// list-size-balanced spans ([`nnz_balanced_spans`] over the probed
-    /// lists' prefix sums — the same quantile technique the sparse
-    /// kernels use for nnz balancing). Bit-identical across thread
-    /// counts: span boundaries move with the pool size, but each row's
-    /// score is computed by the same per-row kernel arithmetic wherever
-    /// it lands.
-    fn survivor_cosines(
-        &self,
-        qhat: &[f64],
-        qnorm: f64,
-        survivors: &[u32],
-        indptr: &[usize],
-    ) -> Result<Vec<f64>> {
-        lsi_obs::add_bytes((survivors.len() * self.k() * 8) as f64);
-        lsi_obs::add_flops(((2 * self.k() + 3) * survivors.len()) as f64);
-        // Two spans per worker: balanced by construction, cheap to
-        // compute, and enough slack for the pool's chunker.
-        let spans = nnz_balanced_spans(indptr, rayon::current_num_threads() * 2);
-        let parts: Vec<Result<Vec<f64>>> = spans
-            .into_par_iter()
-            .map(|(l0, l1)| {
-                let rows: Vec<usize> = survivors[indptr[l0]..indptr[l1]]
-                    .iter()
-                    .map(|&d| d as usize)
-                    .collect();
-                self.exact_cosines_rows(&rows, qhat, qnorm)
-            })
-            .collect();
-        let mut scores = Vec::with_capacity(survivors.len());
-        for part in parts {
-            scores.extend(part?);
-        }
-        Ok(scores)
-    }
-
-    /// Pruned scan served entirely in f64: survivor sweep + shared
-    /// selection, with the exact path's scoring-boundary guard.
-    fn rank_pruned_exact(
-        &self,
-        qhat: &[f64],
-        qnorm: f64,
-        z: usize,
-        survivors: &[u32],
-        indptr: &[usize],
-    ) -> Result<RankedList> {
-        let t_sweep = querylog::phase_timer();
-        let mut scores = {
-            let _span = lsi_obs::span("index.survivors");
-            self.survivor_cosines(qhat, qnorm, survivors, indptr)?
-        };
-        querylog::phase_done(t_sweep, "sweep_us");
-        // Same scoring boundary as `facet_cosines`: a corrupted model or
-        // an armed failpoint becomes a typed error, never silent ranks.
-        match lsi_fault::eval(lsi_fault::points::CORE_QUERY_SCORE) {
-            Some(lsi_fault::Fired::ReturnErr) => {
-                return Err(Error::Inconsistent {
-                    context: format!(
-                        "fault injected at failpoint `{}`",
-                        lsi_fault::points::CORE_QUERY_SCORE
-                    ),
-                });
-            }
-            Some(lsi_fault::Fired::InjectNan) => {
-                if let Some(first) = scores.first_mut() {
-                    *first = f64::NAN;
-                }
-            }
-            None => {}
-        }
-        if !scores.iter().all(|s| s.is_finite()) {
-            return Err(Error::NonFinite {
-                context: "cosine scores (query scoring boundary)".into(),
-            });
-        }
-        let order = select_top_by(survivors.len(), z, |i| {
-            (desc_key_f64(scores[i]), survivors[i])
-        });
-        Ok(RankedList {
-            matches: order
-                .into_iter()
-                .map(|i| self.make_match(survivors[i] as usize, scores[i]))
-                .collect(),
-        })
-    }
-
-    /// Pruned scan through the compressed ladder: survivor candidate
-    /// sweep (sharded like [`LsiModel::survivor_cosines`]), exact f64
-    /// re-rank of the over-fetched candidates, and — for f32 — the
-    /// margin certificate against the survivor cutoff. `Ok(None)` means
-    /// the caller should degrade to the f64 survivor sweep (non-finite
-    /// sweep output or an uncertified margin); pruning itself is not
-    /// revisited.
-    fn rank_pruned_compressed(
-        &self,
-        store: &CompressedStore,
-        qhat: &[f64],
-        qnorm: f64,
-        z: usize,
-        survivors: &[u32],
-        indptr: &[usize],
-    ) -> Result<Option<RankedList>> {
-        let k = self.k();
-        let ns = survivors.len();
-        let t_sweep = querylog::phase_timer();
-        let approx = {
-            let _span = lsi_obs::span("score.candidates");
-            lsi_obs::add_bytes((ns * k * 4 + 8 * k) as f64);
-            lsi_obs::add_flops((2 * k + 2) as f64 * ns as f64);
-            let spans = nnz_balanced_spans(indptr, rayon::current_num_threads() * 2);
-            let parts: Vec<lsi_linalg::Result<Vec<f32>>> = spans
-                .into_par_iter()
-                .map(|(l0, l1)| {
-                    store.approx_scores_rows(qhat, qnorm, &survivors[indptr[l0]..indptr[l1]])
-                })
-                .collect();
-            let mut approx = Vec::with_capacity(ns);
-            for part in parts {
-                approx.extend(part?);
-            }
-            // Same boundary failpoint as the unpruned compressed sweep:
-            // inject-nan degrades (the f64 survivor sweep still serves
-            // the query), return-err propagates.
-            match lsi_fault::eval(lsi_fault::points::CORE_QUERY_SCORE) {
-                Some(lsi_fault::Fired::ReturnErr) => {
-                    return Err(Error::Inconsistent {
-                        context: format!(
-                            "fault injected at failpoint `{}`",
-                            lsi_fault::points::CORE_QUERY_SCORE
-                        ),
-                    });
-                }
-                Some(lsi_fault::Fired::InjectNan) => {
-                    if let Some(first) = approx.first_mut() {
-                        *first = f32::NAN;
-                    }
-                }
-                None => {}
-            }
-            approx
-        };
-        querylog::phase_done(t_sweep, "sweep_us");
-        if !approx.iter().all(|s| s.is_finite()) {
-            lsi_obs::warn!(
-                "pruned candidate sweep produced non-finite scores; \
-                 degrading to the f64 survivor sweep"
-            );
-            return Ok(None);
-        }
-        let z = z.min(ns);
-        let c = z
-            .saturating_mul(crate::compressed::OVER_FETCH_FACTOR)
-            .max(crate::compressed::OVER_FETCH_FLOOR)
-            .min(ns);
-        // Tie-break by doc id (the survivor array is a permutation, so
-        // position order is not id order here).
-        let candidates = select_top_by(ns, c, |i| {
-            ((desc_key_f32(approx[i]) as u64) << 32) | survivors[i] as u64
-        });
-        lsi_obs::count("score.candidates.count", c as u64);
-        querylog::put_num("candidates", c as f64);
-        let t_rerank = querylog::phase_timer();
-        let (by_row, cosines) = {
-            let _span = lsi_obs::span("score.rerank");
-            lsi_obs::add_bytes((c * k * 8) as f64);
-            lsi_obs::add_flops(((2 * k + 3) * c) as f64);
-            let mut by_row: Vec<usize> =
-                candidates.iter().map(|&i| survivors[i] as usize).collect();
-            by_row.sort_unstable();
-            let cosines = self.exact_cosines_rows(&by_row, qhat, qnorm)?;
-            (by_row, cosines)
-        };
-        querylog::phase_done(t_rerank, "rerank_us");
-        if !cosines.iter().all(|s| s.is_finite()) {
-            return Err(Error::NonFinite {
-                context: "cosine scores (query scoring boundary)".into(),
-            });
-        }
-        lsi_obs::count("score.rerank.count", by_row.len() as u64);
-        let order = select_top_by(by_row.len(), z, |i| {
-            (desc_key_f64(cosines[i]), by_row[i] as u32)
-        });
-        // Margin certificate (f32 only), relative to the survivor set:
-        // within the survivors the certified top-z is bit-identical to
-        // the f64 survivor sweep's — which makes the whole pruned path
-        // bit-identical to the exact scan when every doc survives.
-        if c < ns {
-            if let Some(bound) = store.rerank_margin(k) {
-                let cutoff = candidates
-                    .last()
-                    .map(|&i| approx[i] as f64)
-                    .unwrap_or(f64::NEG_INFINITY);
-                let s_z = order
-                    .last()
-                    .map(|&i| cosines[i])
-                    .unwrap_or(f64::NEG_INFINITY);
-                if !(s_z > cutoff + bound) {
-                    return Ok(None);
-                }
-            }
-        }
-        Ok(Some(RankedList {
-            matches: order
-                .into_iter()
-                .map(|i| self.make_match(by_row[i], cosines[i]))
-                .collect(),
-        }))
+        let mut req = Request::top(qhat, z, QueryLog::off());
+        single(self.rank_top(std::slice::from_mut(&mut req), self.index_policy))
     }
 
     /// Query by free text: project and rank.
     pub fn query(&self, text: &str) -> Result<RankedList> {
         let _span = lsi_obs::span("query");
-        let qlog = querylog::begin("full");
-        querylog::put_num("n_docs", self.n_docs() as f64);
+        let mut qlog = QueryLog::begin("full", None);
+        qlog.num("n_docs", self.n_docs() as f64);
         let t0 = std::time::Instant::now();
-        let t_proj = querylog::phase_timer();
+        let t_proj = querylog::timer();
         let qhat = self.project_text(text)?;
-        querylog::phase_done(t_proj, "project_us");
-        querylog::put_str("path", "full");
+        qlog.done(t_proj, "project_us");
+        qlog.str("path", "full");
         let ranked = self.rank_projected(&qhat)?;
         lsi_obs::count("query.count", 1);
         lsi_obs::observe("query.time.us", t0.elapsed().as_secs_f64() * 1e6);
@@ -870,29 +196,28 @@ impl LsiModel {
         self.query_top_with(text, z, None)
     }
 
-    /// [`LsiModel::query_top`] with a per-call probe-depth override
-    /// (see [`LsiModel::rank_projected_top_at`]): the serving layer's
-    /// degradation ladder narrows retrieval through the trained
-    /// cluster index without mutating the persisted policy. `None`
-    /// behaves exactly like [`LsiModel::query_top`].
+    /// [`LsiModel::query_top`] with a per-call probe-depth override:
+    /// `Some(n)` routes through the trained cluster index at depth `n`
+    /// regardless of the persisted [`IndexPolicy`] (the serve
+    /// degradation ladder narrows retrieval without mutating the
+    /// model), `None` follows the policy. An override with no trained
+    /// index falls through to the policy path — [`LsiModel::train_index`]
+    /// prepares the index up front.
     pub fn query_top_with(
         &self,
         text: &str,
         z: usize,
         nprobe_override: Option<usize>,
     ) -> Result<RankedList> {
-        let _span = lsi_obs::span("query");
-        let qlog = querylog::begin("top");
-        querylog::put_num("n_docs", self.n_docs() as f64);
-        let t0 = std::time::Instant::now();
-        let t_proj = querylog::phase_timer();
-        let qhat = self.project_text(text)?;
-        querylog::phase_done(t_proj, "project_us");
-        let ranked = self.rank_projected_top_at(&qhat, z, nprobe_override)?;
-        lsi_obs::count("query.count", 1);
-        lsi_obs::observe("query.time.us", t0.elapsed().as_secs_f64() * 1e6);
-        qlog.finish(&ranked);
-        Ok(ranked)
+        let queries = vec![BatchQuery {
+            text: text.to_string(),
+            z,
+            ctx: None,
+        }];
+        single(self.query_top_batch(QueryBatch {
+            queries,
+            policy: nprobe_override.map(|nprobe| IndexPolicy::Pruned { nprobe }),
+        }))
     }
 
     /// Rank documents against an existing *document* (query-by-example;
@@ -906,9 +231,9 @@ impl LsiModel {
                 context: format!("document {doc} out of range ({} docs)", self.n_docs()),
             });
         }
-        let qlog = querylog::begin("doc");
-        querylog::put_num("n_docs", self.n_docs() as f64);
-        querylog::put_str("path", "full");
+        let mut qlog = QueryLog::begin("doc", None);
+        qlog.num("n_docs", self.n_docs() as f64);
+        qlog.str("path", "full");
         // One contiguous copy of the (strided) document row, as the
         // GEMV operand — the per-row scoring itself is allocation-free.
         let qhat = self.doc_row(doc).to_vec();

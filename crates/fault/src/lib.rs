@@ -33,6 +33,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::thread::ThreadId;
 
 /// Canonical failpoint names, one per registered layer boundary.
 ///
@@ -58,9 +59,11 @@ pub mod points {
     /// Model deserialization (`LsiModel::from_json`). Honors
     /// `return-err` (→ `Error::Persist`) and `delay-ms`.
     pub const CORE_PERSIST_LOAD: &str = "core.persist.load";
-    /// Query scoring, fired after cosines are computed. Honors
-    /// `inject-nan` (the non-finite exit guard must reject the scores
-    /// with a typed error), `return-err`, and `delay-ms`.
+    /// Query scoring, fired once per document sweep of the scoring plan,
+    /// after the cosines are computed. Honors `inject-nan` (a reference
+    /// f64 sweep rejects the scores with a typed error; an approximate
+    /// sweep falls back to the reference one), `return-err`, and
+    /// `delay-ms`.
     pub const CORE_QUERY_SCORE: &str = "core.query.score";
     /// Per-accepted-connection in the `lsi serve` accept loop, fired
     /// before the connection is handed to a worker. Honors
@@ -111,7 +114,7 @@ pub enum Action {
 pub enum Fired {
     /// Return a typed error from the enclosing function.
     ReturnErr,
-    /// Corrupt the site's data with a NaN (see [`poison_first`]).
+    /// Corrupt the site's data with a NaN (see [`poison`]).
     InjectNan,
 }
 
@@ -120,6 +123,10 @@ struct Entry {
     /// Firings left before self-disarm; `None` = unlimited.
     remaining: Option<u64>,
 }
+
+/// Registry key: the failpoint name plus the thread it is scoped to
+/// (`None` = process-wide, as armed by `LSI_FAILPOINTS` or [`arm`]).
+type Key = (String, Option<ThreadId>);
 
 /// Fast-path switch. Starts [`UNINIT`] so the very first [`eval`] in
 /// the process (and only it) pays for the `LSI_FAILPOINTS` parse;
@@ -135,16 +142,16 @@ const DISARMED: u8 = 1;
 /// [`STATE`]: at least one failpoint armed.
 const ARMED: u8 = 2;
 
-static REGISTRY: OnceLock<Mutex<HashMap<String, Entry>>> = OnceLock::new();
+static REGISTRY: OnceLock<Mutex<HashMap<Key, Entry>>> = OnceLock::new();
 
-fn lock_registry() -> MutexGuard<'static, HashMap<String, Entry>> {
+fn lock_registry() -> MutexGuard<'static, HashMap<Key, Entry>> {
     let m = REGISTRY.get_or_init(|| {
         let mut map = HashMap::new();
         if let Ok(spec) = std::env::var("LSI_FAILPOINTS") {
             match parse_spec(&spec) {
                 Ok(entries) => {
                     for (name, action, remaining) in entries {
-                        map.insert(name, Entry { action, remaining });
+                        map.insert((name, None), Entry { action, remaining });
                     }
                 }
                 Err(e) => {
@@ -220,12 +227,10 @@ pub fn parse_spec(spec: &str) -> Result<Vec<(String, Action, Option<u64>)>, Stri
     Ok(out)
 }
 
-/// Arm `name` with `action`, firing at most `count` times (`None` =
-/// unlimited). Programmatic equivalent of one `LSI_FAILPOINTS` entry.
-pub fn arm(name: &str, action: Action, count: Option<u64>) {
+fn insert(key: Key, action: Action, count: Option<u64>) {
     let mut map = lock_registry();
     map.insert(
-        name.to_string(),
+        key,
         Entry {
             action,
             remaining: count,
@@ -236,7 +241,24 @@ pub fn arm(name: &str, action: Action, count: Option<u64>) {
     STATE.store(ARMED, Ordering::Relaxed);
 }
 
-/// Arm every entry of a spec string. Errors on bad grammar.
+/// Remove one registry entry, dropping the fast-path switch back to
+/// disarmed when it was the last.
+fn remove(map: &mut HashMap<Key, Entry>, key: &Key) {
+    map.remove(key);
+    if map.is_empty() {
+        // Relaxed: advisory hint; the caller holds the mutex.
+        STATE.store(DISARMED, Ordering::Relaxed);
+    }
+}
+
+/// Arm `name` with `action`, firing at most `count` times (`None` =
+/// unlimited), for every thread in the process. Programmatic
+/// equivalent of one `LSI_FAILPOINTS` entry.
+pub fn arm(name: &str, action: Action, count: Option<u64>) {
+    insert((name.to_string(), None), action, count);
+}
+
+/// Arm every entry of a spec string process-wide. Errors on bad grammar.
 pub fn arm_from_spec(spec: &str) -> Result<(), String> {
     for (name, action, count) in parse_spec(spec)? {
         arm(&name, action, count);
@@ -244,17 +266,43 @@ pub fn arm_from_spec(spec: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Disarm one failpoint (no-op if it was not armed).
-pub fn disarm(name: &str) {
-    let mut map = lock_registry();
-    map.remove(name);
-    if map.is_empty() {
-        // Relaxed: advisory hint; the mutex above orders the removal.
-        STATE.store(DISARMED, Ordering::Relaxed);
+/// Arm `name` for the calling thread only: it fires when this thread
+/// reaches it and stays invisible to every other thread, so tests in
+/// one process can arm the same failpoint concurrently without seeing
+/// each other's faults. Work this thread hands to pool workers does not
+/// carry the scope. The returned guard disarms the point on drop; a
+/// thread-scoped arm takes precedence over a process-wide one.
+pub fn arm_scoped(name: &str, action: Action, count: Option<u64>) -> ScopedArm {
+    let thread = std::thread::current().id();
+    insert((name.to_string(), Some(thread)), action, count);
+    ScopedArm {
+        name: name.to_string(),
+        thread,
     }
 }
 
-/// Disarm every failpoint.
+/// Guard for a thread-scoped failpoint ([`arm_scoped`]).
+#[must_use = "the failpoint disarms when the guard drops"]
+#[derive(Debug)]
+pub struct ScopedArm {
+    name: String,
+    thread: ThreadId,
+}
+
+impl Drop for ScopedArm {
+    fn drop(&mut self) {
+        let key = (std::mem::take(&mut self.name), Some(self.thread));
+        remove(&mut lock_registry(), &key);
+    }
+}
+
+/// Disarm the process-wide arm of one failpoint (no-op if it was not
+/// armed; thread-scoped arms stay until their guard drops).
+pub fn disarm(name: &str) {
+    remove(&mut lock_registry(), &(name.to_string(), None));
+}
+
+/// Disarm every failpoint, thread-scoped ones included.
 pub fn clear() {
     let mut map = lock_registry();
     map.clear();
@@ -294,25 +342,22 @@ fn init_then_eval(name: &str) -> Option<Fired> {
 fn eval_armed(name: &str) -> Option<Fired> {
     let action = {
         let mut map = lock_registry();
-        let entry = map.get_mut(name)?;
+        let scoped = (name.to_string(), Some(std::thread::current().id()));
+        let key = if map.contains_key(&scoped) {
+            scoped
+        } else {
+            (name.to_string(), None)
+        };
+        let entry = map.get_mut(&key)?;
         let action = entry.action;
         if let Some(rem) = entry.remaining.as_mut() {
             if *rem == 0 {
-                map.remove(name);
-                if map.is_empty() {
-                    // Relaxed: advisory hint; held mutex orders it.
-                    STATE.store(DISARMED, Ordering::Relaxed);
-                }
+                remove(&mut map, &key);
                 return None;
             }
             *rem -= 1;
-            let exhausted = *rem == 0;
-            if exhausted {
-                map.remove(name);
-                if map.is_empty() {
-                    // Relaxed: advisory hint; held mutex orders it.
-                    STATE.store(DISARMED, Ordering::Relaxed);
-                }
+            if *rem == 0 {
+                remove(&mut map, &key);
             }
         }
         action
@@ -343,19 +388,49 @@ pub fn should_fail(name: &str) -> bool {
     eval(name).is_some()
 }
 
-/// Convenience for numerical sites: when `name` fired `inject-nan`,
-/// overwrite the first element of `data` with NaN and return `true`.
-/// A `return-err` firing is reported as `false` alongside... — callers
-/// that can surface errors should use [`eval`] directly.
-#[inline]
-pub fn poison_first(name: &str, data: &mut [f64]) -> bool {
-    if eval(name) == Some(Fired::InjectNan) {
-        if let Some(x) = data.first_mut() {
-            *x = f64::NAN;
-        }
-        return true;
+/// A float type a numerical failpoint can poison.
+pub trait Float: Copy {
+    /// The value `inject-nan` writes.
+    const NAN: Self;
+}
+
+impl Float for f32 {
+    const NAN: f32 = f32::NAN;
+}
+
+impl Float for f64 {
+    const NAN: f64 = f64::NAN;
+}
+
+/// A `return-err` firing at a numerical site; its message names the
+/// failpoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Injected(pub String);
+
+impl std::fmt::Display for Injected {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "fault injected at failpoint `{}`", self.0)
     }
-    false
+}
+
+impl std::error::Error for Injected {}
+
+/// The hook for numerical sites: evaluate `name`; on `inject-nan`
+/// overwrite the first element of `data` with NaN (the site's
+/// finiteness guard must catch it), on `return-err` return
+/// [`Injected`] for the site to surface as its typed error.
+#[inline]
+pub fn poison<T: Float>(name: &str, data: &mut [T]) -> Result<(), Injected> {
+    match eval(name) {
+        Some(Fired::ReturnErr) => Err(Injected(name.to_string())),
+        Some(Fired::InjectNan) => {
+            if let Some(x) = data.first_mut() {
+                *x = T::NAN;
+            }
+            Ok(())
+        }
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -412,15 +487,42 @@ mod tests {
     }
 
     #[test]
-    fn poison_first_writes_nan_only_for_inject() {
+    fn poison_writes_nan_on_inject_and_errs_on_return_err() {
         arm("test.poison", Action::InjectNan, Some(1));
-        let mut data = vec![1.0, 2.0];
-        assert!(poison_first("test.poison", &mut data));
+        let mut data = vec![1.0f64, 2.0];
+        assert_eq!(poison("test.poison", &mut data), Ok(()));
         assert!(data[0].is_nan());
         assert_eq!(data[1], 2.0);
-        let mut data = vec![1.0];
-        assert!(!poison_first("test.poison", &mut data));
+        let mut data = vec![1.0f32];
+        assert_eq!(poison("test.poison", &mut data), Ok(()));
         assert_eq!(data, vec![1.0]);
+        arm("test.poison", Action::ReturnErr, Some(1));
+        let err = poison("test.poison", &mut data).unwrap_err();
+        assert!(err.to_string().contains("test.poison"), "{err}");
+        assert_eq!(data, vec![1.0]);
+    }
+
+    #[test]
+    fn scoped_arm_fires_only_on_its_thread_and_disarms_on_drop() {
+        let guard = arm_scoped("test.scoped", Action::ReturnErr, None);
+        let other = std::thread::spawn(|| eval("test.scoped")).join().unwrap();
+        assert_eq!(other, None);
+        assert_eq!(eval("test.scoped"), Some(Fired::ReturnErr));
+        assert_eq!(eval("test.scoped"), Some(Fired::ReturnErr));
+        drop(guard);
+        assert_eq!(eval("test.scoped"), None);
+    }
+
+    #[test]
+    fn scoped_arm_takes_precedence_over_a_process_wide_one() {
+        arm("test.layered", Action::InjectNan, None);
+        let guard = arm_scoped("test.layered", Action::ReturnErr, Some(1));
+        assert_eq!(eval("test.layered"), Some(Fired::ReturnErr));
+        // Spent: the process-wide arm shows through again.
+        assert_eq!(eval("test.layered"), Some(Fired::InjectNan));
+        drop(guard);
+        disarm("test.layered");
+        assert_eq!(eval("test.layered"), None);
     }
 
     #[test]

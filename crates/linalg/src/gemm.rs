@@ -37,8 +37,10 @@ const MR: usize = 16;
 const NR: usize = 4;
 /// Rows of A packed per cache block (the `MC x KC` panel targets L2).
 const MC: usize = 128;
-/// Depth of one packed panel pair.
-const KC: usize = 256;
+/// Depth of one packed panel pair. The GEMV kernels in `ops` split
+/// their column sums at the same boundaries, so a column of a GEMM
+/// product and the GEMV with that column agree bit for bit.
+pub(crate) const KC: usize = 256;
 /// Columns of B packed per cache block.
 const NC: usize = 512;
 
@@ -190,13 +192,13 @@ fn micro_kernel_body(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; MR]; N
 
 /// [`micro_kernel_body`] compiled with AVX2 + FMA enabled: the default
 /// `x86-64` target only guarantees SSE2, which leaves the tile at
-/// 2-wide multiplies plus separate adds. Recompiling the same loop with
-/// the wider features lets LLVM use 4-wide FMAs (~3x the sustained
-/// flop rate on the hot GEMM shapes). FMA fuses the multiply-add
-/// rounding step, so results can differ from the SSE2 path in the last
-/// ulp — but kernel selection is a machine-wide constant, so any given
-/// host is internally deterministic (serial and parallel paths pick the
-/// same kernel).
+/// 2-wide vectors. Recompiling the same loop with the wider features
+/// lets LLVM use 4-wide vectors (~3x the sustained flop rate on the hot
+/// GEMM shapes). Rust never contracts `a * b + c` into a fused
+/// multiply-add, so every variant performs the same IEEE operations in
+/// the same order: each output element is the left-to-right sum of its
+/// products within a `KC` panel, on any host — the order the GEMV
+/// kernels in `ops` replay.
 ///
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]

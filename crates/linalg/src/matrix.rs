@@ -199,6 +199,12 @@ impl DenseMatrix {
         &mut self.data
     }
 
+    /// The column-major buffer, by value.
+    #[inline]
+    pub fn into_data(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Transposed copy.
     pub fn transpose(&self) -> DenseMatrix {
         let mut t = DenseMatrix::zeros(self.ncols, self.nrows);

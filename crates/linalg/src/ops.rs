@@ -25,49 +25,77 @@ use crate::{Error, Result};
 /// worker-wakeup cost seen when GEMV interleaves with serial phases.
 pub const MATVEC_PAR_MIN_ELEMS: usize = 1 << 19;
 
-/// One row span of the GEMV: `y[i] += sum_j x[j] * A[r0 + i, j]` for
-/// the rows `r0 .. r0 + y.len()`, sweeping columns in 4-wide blocks and
-/// skipping all-zero coefficient blocks (sparse query vectors). The
-/// serial path is this with `r0 = 0` and the full `y`; the parallel
-/// path hands out disjoint row spans, and because every span runs the
-/// identical j-loop, each `y[i]` sees the same operation order either
-/// way — results are bit-for-bit independent of the thread count.
-fn matvec_span(data: &[f64], m: usize, x: &[f64], r0: usize, y: &mut [f64]) {
-    let rows = y.len();
-    let mut j = 0;
-    while j < x.len() {
-        let block = (x.len() - j).min(4);
-        if x[j..j + block].iter().all(|&v| v == 0.0) {
-            j += block;
+/// Run `chunk(p0, x[p0..p1], acc)` over the column chunks of `x` that
+/// the packed GEMM blocks its inner dimension into ([`gemm::KC`]), in
+/// the GEMM's per-element order: the first chunk accumulates straight
+/// into `out` (zero-initialized), each later one into a zeroed partial
+/// that is then added to `out` — the GEMM's `c += acc` per `KC` panel.
+/// Together with the chunk kernels' left-to-right sums, every GEMV
+/// output performs exactly the operations its GEMM element performs,
+/// so a coalesced `V Q̂` product and per-query GEMVs agree bit for bit.
+#[inline(always)]
+fn by_gemm_chunks(x: &[f64], out: &mut [f64], chunk: impl Fn(usize, &[f64], &mut [f64])) {
+    let mut part = Vec::new();
+    for p0 in (0..x.len()).step_by(gemm::KC) {
+        let xs = &x[p0..(p0 + gemm::KC).min(x.len())];
+        if p0 == 0 {
+            chunk(p0, xs, out);
             continue;
         }
-        if block == 4 {
-            let (x0, x1, x2, x3) = (x[j], x[j + 1], x[j + 2], x[j + 3]);
-            let c0 = &data[j * m + r0..j * m + r0 + rows];
-            let c1 = &data[(j + 1) * m + r0..(j + 1) * m + r0 + rows];
-            let c2 = &data[(j + 2) * m + r0..(j + 2) * m + r0 + rows];
-            let c3 = &data[(j + 3) * m + r0..(j + 3) * m + r0 + rows];
-            for i in 0..rows {
-                y[i] += x0 * c0[i] + x1 * c1[i] + x2 * c2[i] + x3 * c3[i];
+        part.clear();
+        part.resize(out.len(), 0.0);
+        chunk(p0, xs, &mut part);
+        for (o, p) in out.iter_mut().zip(&part) {
+            *o += p;
+        }
+    }
+}
+
+/// One row span of the GEMV: `y[i] += sum_j x[j] * A[r0 + i, j]` for
+/// the rows `r0 .. r0 + y.len()`, adding the products left to right
+/// (`y + x0·a0 + x1·a1 + …`, the GEMM tile's order) four columns per
+/// sweep of `y`, and skipping all-zero coefficient blocks (sparse query
+/// vectors; adding `±0` leaves a nonzero or `+0` sum unchanged, so the
+/// skip is exact). The serial path is this with `r0 = 0` and the full
+/// `y`; the parallel path hands out disjoint row spans, and because
+/// every span runs the identical j-loop, each `y[i]` sees the same
+/// operation order either way — results are bit-for-bit independent of
+/// the thread count.
+fn matvec_span(data: &[f64], m: usize, x: &[f64], r0: usize, y: &mut [f64]) {
+    by_gemm_chunks(x, y, |p0, x, y| {
+        let rows = y.len();
+        let col = |j: usize| &data[(p0 + j) * m + r0..(p0 + j) * m + r0 + rows];
+        let mut j = 0;
+        while j < x.len() {
+            let block = (x.len() - j).min(4);
+            if x[j..j + block].iter().all(|&v| v == 0.0) {
+                j += block;
+                continue;
             }
-        } else {
-            for jj in j..j + block {
-                if x[jj] != 0.0 {
-                    let c = &data[jj * m + r0..jj * m + r0 + rows];
-                    vecops::axpy(x[jj], c, y);
+            if block == 4 {
+                let (x0, x1, x2, x3) = (x[j], x[j + 1], x[j + 2], x[j + 3]);
+                let (c0, c1, c2, c3) = (col(j), col(j + 1), col(j + 2), col(j + 3));
+                for i in 0..rows {
+                    y[i] = y[i] + x0 * c0[i] + x1 * c1[i] + x2 * c2[i] + x3 * c3[i];
+                }
+            } else {
+                for jj in j..j + block {
+                    if x[jj] != 0.0 {
+                        vecops::axpy(x[jj], col(jj), y);
+                    }
                 }
             }
+            j += block;
         }
-        j += block;
-    }
+    });
 }
 
 /// `y = A * x` (dense GEMV). Columns with a zero coefficient are
 /// skipped, which matters for sparse query vectors; dense stretches of
 /// four columns are fused into one sweep of `y`. Above
 /// [`MATVEC_PAR_MIN_ELEMS`] the rows are split across the pool — this
-/// is the single-query scoring hot path (`LsiModel::facet_cosines`
-/// does one `V * q̂` per query).
+/// is the single-query scoring hot path (the scoring plan's reference
+/// sweep does one `V * q̂` per query).
 pub fn matvec(a: &DenseMatrix, x: &[f64]) -> Result<Vec<f64>> {
     if a.ncols() != x.len() {
         return Err(Error::DimensionMismatch {
@@ -89,51 +117,14 @@ pub fn matvec(a: &DenseMatrix, x: &[f64]) -> Result<Vec<f64>> {
     Ok(y)
 }
 
-/// Single row of the GEMV: `sum_j x[j] * A[i, j]`, replicating
-/// [`matvec_span`]'s exact structure — the same 4-wide column blocks,
-/// the same all-zero-block skip, and the same left-to-right fused sum —
-/// so re-ranking one candidate row reproduces the full sweep's `y[i]`
-/// bit-for-bit. This is the exact-re-rank kernel of the compressed
-/// scoring path: the candidate generator scores every document in
-/// reduced precision, then this recomputes only the survivors in f64.
+/// Single row of the GEMV: `sum_j x[j] * A[i, j]` with exactly
+/// [`matvec_span`]'s operations, so re-scoring one candidate row
+/// reproduces the full sweep's `y[i]` bit-for-bit. This is the
+/// exact-re-rank kernel of the compressed scoring path: the candidate
+/// generator scores every document in reduced precision, then this
+/// recomputes only the survivors in f64.
 pub fn matvec_row(a: &DenseMatrix, x: &[f64], i: usize) -> Result<f64> {
-    if a.ncols() != x.len() || i >= a.nrows() {
-        return Err(Error::DimensionMismatch {
-            context: format!(
-                "matvec_row: row {i} of {}x{} with vector {}",
-                a.nrows(),
-                a.ncols(),
-                x.len()
-            ),
-        });
-    }
-    let m = a.nrows();
-    let data = a.data();
-    let mut acc = 0.0f64;
-    let mut j = 0;
-    while j < x.len() {
-        let block = (x.len() - j).min(4);
-        // lsi-analyze: allow(float-safety) — exact zero-block skip keeps outputs bit-identical to matvec_span; NaN blocks are not skipped.
-        if x[j..j + block].iter().all(|&v| v == 0.0) {
-            j += block;
-            continue;
-        }
-        if block == 4 {
-            acc += x[j] * data[j * m + i]
-                + x[j + 1] * data[(j + 1) * m + i]
-                + x[j + 2] * data[(j + 2) * m + i]
-                + x[j + 3] * data[(j + 3) * m + i];
-        } else {
-            for jj in j..j + block {
-                // lsi-analyze: allow(float-safety) — exact zero skip, bit-identical to matvec_span; NaN is not skipped.
-                if x[jj] != 0.0 {
-                    acc += x[jj] * data[jj * m + i];
-                }
-            }
-        }
-        j += block;
-    }
-    Ok(acc)
+    Ok(matvec_rows(a, x, &[i])?.pop().unwrap_or(0.0))
 }
 
 /// [`matvec_row`] over a batch of rows, columns outermost: every
@@ -141,9 +132,9 @@ pub fn matvec_row(a: &DenseMatrix, x: &[f64], i: usize) -> Result<f64> {
 /// rows before moving right. With the rows sorted ascending the inner
 /// loop walks each column's candidate band in address order, which
 /// turns the re-rank's scattered stride-`nrows` reads into
-/// prefetch-friendly sweeps — the per-row arithmetic (block order,
-/// zero-block skip, fused sum) is exactly [`matvec_span`]'s, so each
-/// output is bit-identical to `matvec_row(a, x, rows[i])`.
+/// prefetch-friendly sweeps — the per-row arithmetic (chunking, block
+/// order, zero-block skip, left-to-right sum) is exactly
+/// [`matvec_span`]'s, so each output is bit-identical to the full GEMV.
 pub fn matvec_rows(a: &DenseMatrix, x: &[f64], rows: &[usize]) -> Result<Vec<f64>> {
     let m = a.nrows();
     if a.ncols() != x.len() || rows.iter().any(|&r| r >= m) {
@@ -159,36 +150,36 @@ pub fn matvec_rows(a: &DenseMatrix, x: &[f64], rows: &[usize]) -> Result<Vec<f64
     }
     let data = a.data();
     let mut y = vec![0.0f64; rows.len()];
-    let mut j = 0;
-    while j < x.len() {
-        let block = (x.len() - j).min(4);
-        // lsi-analyze: allow(float-safety) — exact zero-block skip keeps outputs bit-identical to matvec_span; NaN blocks are not skipped.
-        if x[j..j + block].iter().all(|&v| v == 0.0) {
-            j += block;
-            continue;
-        }
-        if block == 4 {
-            let (x0, x1, x2, x3) = (x[j], x[j + 1], x[j + 2], x[j + 3]);
-            let c0 = &data[j * m..(j + 1) * m];
-            let c1 = &data[(j + 1) * m..(j + 2) * m];
-            let c2 = &data[(j + 2) * m..(j + 3) * m];
-            let c3 = &data[(j + 3) * m..(j + 4) * m];
-            for (yi, &r) in y.iter_mut().zip(rows.iter()) {
-                *yi += x0 * c0[r] + x1 * c1[r] + x2 * c2[r] + x3 * c3[r];
+    by_gemm_chunks(x, &mut y, |p0, x, y| {
+        let col = |j: usize| &data[(p0 + j) * m..(p0 + j + 1) * m];
+        let mut j = 0;
+        while j < x.len() {
+            let block = (x.len() - j).min(4);
+            // lsi-analyze: allow(float-safety) — exact zero-block skip keeps outputs bit-identical to matvec_span; NaN blocks are not skipped.
+            if x[j..j + block].iter().all(|&v| v == 0.0) {
+                j += block;
+                continue;
             }
-        } else {
-            for jj in j..j + block {
-                // lsi-analyze: allow(float-safety) — exact zero skip, bit-identical to matvec_span; NaN is not skipped.
-                if x[jj] != 0.0 {
-                    let c = &data[jj * m..jj * m + m];
-                    for (yi, &r) in y.iter_mut().zip(rows.iter()) {
-                        *yi += x[jj] * c[r];
+            if block == 4 {
+                let (x0, x1, x2, x3) = (x[j], x[j + 1], x[j + 2], x[j + 3]);
+                let (c0, c1, c2, c3) = (col(j), col(j + 1), col(j + 2), col(j + 3));
+                for (yi, &r) in y.iter_mut().zip(rows.iter()) {
+                    *yi = *yi + x0 * c0[r] + x1 * c1[r] + x2 * c2[r] + x3 * c3[r];
+                }
+            } else {
+                for jj in j..j + block {
+                    // lsi-analyze: allow(float-safety) — exact zero skip, bit-identical to matvec_span; NaN is not skipped.
+                    if x[jj] != 0.0 {
+                        let c = col(jj);
+                        for (yi, &r) in y.iter_mut().zip(rows.iter()) {
+                            *yi += x[jj] * c[r];
+                        }
                     }
                 }
             }
+            j += block;
         }
-        j += block;
-    }
+    });
     Ok(y)
 }
 
@@ -384,6 +375,42 @@ mod tests {
         assert!(matvec_rows(&a, &x, &[9]).is_err());
         assert!(matvec_rows(&a, &x[..4], &[0]).is_err());
         assert_eq!(matvec_rows(&a, &x, &[]).unwrap(), Vec::<f64>::new());
+    }
+
+    #[test]
+    fn gemv_replays_the_gemm_element_order_bit_for_bit() {
+        // Shapes that reach the packed, tiled GEMM (the first also its
+        // parallel column split and the GEMV's parallel row split),
+        // inner dimensions past one KC panel, and zero coefficient
+        // blocks the GEMV skips.
+        for &(m, k, n) in &[(9000usize, 64usize, 8usize), (300, 300, 5), (129, 513, 3)] {
+            let mut a = DenseMatrix::zeros(m, k);
+            for i in 0..m {
+                for j in 0..k {
+                    a.set(i, j, ((i * 31 + j * 7) as f64).sin());
+                }
+            }
+            let mut b = DenseMatrix::zeros(k, n);
+            for j in 0..k {
+                for c in 0..n {
+                    // Every third 4-column block of a column is zero.
+                    let v = if (j / 4) % 3 == c % 3 {
+                        0.0
+                    } else {
+                        ((j * 5 + c) as f64).cos()
+                    };
+                    b.set(j, c, v);
+                }
+            }
+            let c = matmul(&a, &b).unwrap();
+            for col in 0..n {
+                let y = matvec(&a, b.col(col)).unwrap();
+                for i in 0..m {
+                    let at = format!("{m}x{k}x{n} ({i}, {col})");
+                    assert_eq!(y[i].to_bits(), c.get(i, col).to_bits(), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

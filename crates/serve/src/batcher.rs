@@ -19,7 +19,7 @@
 //!
 //! | level | trigger      | scoring path                               |
 //! |-------|--------------|--------------------------------------------|
-//! | 0     | depth < 50%  | exact, coalesced GEMM                      |
+//! | 0     | depth < 50%  | the model's own path, coalesced sweep      |
 //! | 1     | depth ≥ 50%  | cluster-pruned probes (base `nprobe`)      |
 //! | 2     | depth ≥ 75%  | + compressed f32 sweep                     |
 //! | 3     | depth ≥ 90%  | probes narrowed to half the base `nprobe`  |
@@ -31,7 +31,8 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use lsi_core::{
-    BatchQuery, IndexPolicy, LsiModel, Precision, RankedList, RequestCtx, DEFAULT_NPROBE,
+    BatchQuery, IndexPolicy, LsiModel, Precision, QueryBatch, RankedList, RequestCtx,
+    DEFAULT_NPROBE,
 };
 
 use crate::server::Stats;
@@ -213,15 +214,16 @@ impl Ladder {
         }
     }
 
-    /// Probe-depth override for the current level: `None` at level 0
-    /// (exact coalesced path), the base depth at 1–2, half of it
-    /// (floor 1) at 3.
-    fn nprobe_override(&self) -> Option<usize> {
-        match self.level {
-            0 => None,
-            1 | 2 => Some(self.base_nprobe),
-            _ => Some((self.base_nprobe / 2).max(1)),
-        }
+    /// Index-policy override for the current level: `None` at level 0
+    /// (the model's own policy), probes at the base depth at 1–2, at
+    /// half of it (floor 1) at 3.
+    fn policy_override(&self) -> Option<IndexPolicy> {
+        let nprobe = match self.level {
+            0 => return None,
+            1 | 2 => self.base_nprobe,
+            _ => (self.base_nprobe / 2).max(1),
+        };
+        Some(IndexPolicy::Pruned { nprobe })
     }
 
     fn level(&self) -> u8 {
@@ -260,34 +262,29 @@ pub(crate) fn run(model: &mut LsiModel, queue: &Queue, max_batch: usize, stats: 
             );
         }
 
-        score_batch(model, live, ladder.nprobe_override(), stats);
+        score_batch(model, live, ladder.policy_override(), stats);
     }
 }
 
 /// Score one batch, containing panics so the batcher thread survives
 /// (e.g. the `serve.batch` failpoint armed with `panic`).
-fn score_batch(model: &mut LsiModel, live: Vec<Job>, nprobe: Option<usize>, stats: &Stats) {
-    let mut replies: Vec<SyncSender<Result<RankedList, String>>> =
-        Vec::with_capacity(live.len());
-    let mut queries: Vec<BatchQuery> = Vec::with_capacity(live.len());
-    let mut overrides: Vec<(String, usize, RequestCtx)> = Vec::new();
+fn score_batch(model: &mut LsiModel, live: Vec<Job>, policy: Option<IndexPolicy>, stats: &Stats) {
     let now = Instant::now();
-    for job in live {
-        let ctx = RequestCtx {
-            trace_id: job.trace_id,
-            wait_us: now.saturating_duration_since(job.enqueued).as_secs_f64() * 1e6,
-        };
-        replies.push(job.reply);
-        if nprobe.is_some() {
-            overrides.push((job.text, job.z, ctx));
-        } else {
-            queries.push(BatchQuery {
+    let (replies, queries): (Vec<_>, Vec<_>) = live
+        .into_iter()
+        .map(|job| {
+            let ctx = RequestCtx {
+                trace_id: job.trace_id,
+                wait_us: now.saturating_duration_since(job.enqueued).as_secs_f64() * 1e6,
+            };
+            let query = BatchQuery {
                 text: job.text,
                 z: job.z,
                 ctx: Some(ctx),
-            });
-        }
-    }
+            };
+            (job.reply, query)
+        })
+        .unzip();
     let n_live = replies.len();
     let results = catch_unwind(AssertUnwindSafe(|| {
         // The failpoint is evaluated inside the unwind boundary so its
@@ -305,23 +302,11 @@ fn score_batch(model: &mut LsiModel, live: Vec<Job>, nprobe: Option<usize>, stat
             // No data to poison at this site.
             Some(lsi_fault::Fired::InjectNan) | None => {}
         }
-        if let Some(n) = nprobe {
-            overrides
-                .into_iter()
-                .map(|(text, z, ctx)| {
-                    lsi_core::querylog::set_request_context(ctx);
-                    model
-                        .query_top_with(&text, z, Some(n))
-                        .map_err(|e| e.to_string())
-                })
-                .collect::<Vec<Result<RankedList, String>>>()
-        } else {
-            model
-                .query_top_batch(queries)
-                .into_iter()
-                .map(|r| r.map_err(|e| e.to_string()))
-                .collect()
-        }
+        model
+            .query_top_batch(QueryBatch { queries, policy })
+            .into_iter()
+            .map(|r| r.map_err(|e| e.to_string()))
+            .collect::<Vec<Result<RankedList, String>>>()
     }));
     match results {
         Ok(results) => {

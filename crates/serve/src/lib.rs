@@ -21,7 +21,7 @@
 //!    expire while queued are dropped *before* scoring and answered
 //!    `504`; slow clients are bounded by read/write socket timeouts.
 //! 3. **Graceful degradation.** Under sustained queue pressure the
-//!    batcher walks a ladder — exact coalesced GEMM → cluster-pruned
+//!    batcher walks a ladder — the model's own coalesced path → cluster-pruned
 //!    probes → compressed f32 sweep → narrowed probes — trading recall
 //!    for latency *before* shedding (see [`batcher`]).
 //! 4. **Containment.** Each connection is served under

@@ -9,8 +9,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: cargo build --release"
-cargo build --release
+# --workspace: the root manifest is a package plus a workspace without
+# default-members, so a bare build produces only the root package and
+# never the `lsi` and `perf_kernels` binaries the smokes below call.
+echo "== tier-1: cargo build --release --workspace"
+cargo build --release --workspace
 
 # The suite runs twice: once on the persistent pool (default) and once
 # fully serial. LSI_NUM_THREADS=1 must reproduce pooled results
